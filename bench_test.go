@@ -13,6 +13,7 @@ import (
 	"cpx/internal/cluster"
 	"cpx/internal/coupler"
 	"cpx/internal/harness"
+	"cpx/internal/mgcfd"
 	"cpx/internal/mpi"
 	"cpx/internal/simpic"
 	"cpx/internal/sparse"
@@ -238,8 +239,29 @@ func BenchmarkSlidingPlaneRemap(b *testing.B) {
 }
 
 func BenchmarkPICStep(b *testing.B) {
+	b.ReportAllocs()
 	_, err := mpi.Run(4, cpx.RunConfig{Machine: cluster.SmallCluster()}, func(c *mpi.Comm) error {
 		s, err := simpic.New(c, simpic.Config{Cells: 8192, ParticlesPerCell: 40, Steps: 1, Seed: 1}, simpic.ScaleOpts{})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			s.Step()
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkMGCFDStep(b *testing.B) {
+	b.ReportAllocs()
+	_, err := mpi.Run(4, cpx.RunConfig{Machine: cluster.SmallCluster()}, func(c *mpi.Comm) error {
+		s, err := mgcfd.New(c, mgcfd.Config{MeshCells: 32_768, Steps: 1, Seed: 1}, mgcfd.ScaleOpts{})
 		if err != nil {
 			return err
 		}

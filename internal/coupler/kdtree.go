@@ -9,7 +9,11 @@
 // run-time in the production coupler [31].
 package coupler
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Point2 is a point on a coupling interface plane.
 type Point2 struct {
@@ -49,18 +53,17 @@ func (t *KDTree) build(lo, hi int, depth int8) {
 	}
 	axis := depth % 2
 	mid := (lo + hi) / 2
-	sub := t.pts[lo:hi]
-	sort.Slice(sub, func(a, b int) bool {
-		if axis == 0 {
-			if sub[a].X != sub[b].X {
-				return sub[a].X < sub[b].X
-			}
-		} else {
-			if sub[a].Y != sub[b].Y {
-				return sub[a].Y < sub[b].Y
-			}
+	// A strict order on (coordinate, Idx): Idx is unique per donor array,
+	// so the sorted order, and with it the tree, is fully determined.
+	slices.SortFunc(t.pts[lo:hi], func(a, b Point2) int {
+		ca, cb := a.X, b.X
+		if axis != 0 {
+			ca, cb = a.Y, b.Y
 		}
-		return sub[a].Idx < sub[b].Idx
+		if c := cmp.Compare(ca, cb); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Idx, b.Idx)
 	})
 	t.axis[mid] = axis
 	t.build(lo, mid, depth+1)

@@ -83,7 +83,7 @@ func (m *Mapper) Map(targets, donors []Point2) *Mapping {
 	// Acceptance radius for cached donors: twice the mean donor spacing.
 	var accept2 float64
 	if m.Kind == TreePrefetch && m.cache != nil {
-		spacing := meanSpacing(donors)
+		spacing := meanSpacing(tree, donors)
 		accept2 = 4 * spacing * spacing
 	}
 	for ti, q := range targets {
@@ -151,12 +151,11 @@ func (m *Mapper) Map(targets, donors []Point2) *Mapping {
 }
 
 // meanSpacing estimates the mean nearest-neighbour spacing of a point set
-// from a sample.
-func meanSpacing(pts []Point2) float64 {
+// from a sample, searching the tree already built over the same points.
+func meanSpacing(tree *KDTree, pts []Point2) float64 {
 	if len(pts) < 2 {
 		return 1
 	}
-	tree := BuildKDTree(pts)
 	n := len(pts)
 	step := n / 16
 	if step == 0 {

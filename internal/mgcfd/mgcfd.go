@@ -15,6 +15,7 @@ package mgcfd
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mesh"
@@ -97,6 +98,12 @@ type level struct {
 	res      [][]float64 // NVAR x nodes residual accumulator
 	faces    []faceInfo  // neighbour faces at this level
 	workMult float64     // true/simulated work ratio at this level
+
+	// Scratch kept across steps: the multigrid snapshot of q taken
+	// before the level is smoothed, and the halo send buffer (sized for
+	// the largest face; sends copy their payload).
+	before  [][]float64
+	haloBuf []float64
 }
 
 type faceInfo struct {
@@ -148,12 +155,19 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 		lv.workMult = float64(trueDims.Cells()) / float64(simDims.Cells())
 		// Neighbour faces: node lists on each face of the sim box; true
 		// sizes from the true box, both coarsened per level.
+		maxFace := 0
 		for _, nb := range localNeighbours(local, l) {
-			lv.faces = append(lv.faces, faceInfo{
+			f := faceInfo{
 				rank:      nb.Rank,
 				nodeIdx:   faceNodes(simDims, nb.Axis, nb.Dir),
 				trueCells: nb.FaceCells,
-			})
+			}
+			lv.faces = append(lv.faces, f)
+			maxFace = max(maxFace, len(f.nodeIdx))
+		}
+		lv.haloBuf = make([]float64, maxFace*NVAR)
+		if l > 0 {
+			lv.before = allocVars(lv.nodes)
 		}
 		s.levels = append(s.levels, lv)
 		simDims = simDims.Coarsen()
@@ -266,26 +280,48 @@ func pressureOf(q [][]float64, n int) float64 {
 	return p
 }
 
+// nodeState holds the per-node values the edge loop reads at both ends
+// of every edge: pressure, x-velocity and the wave speed |u|+c.
+type nodeState struct {
+	p, u, wave []float64
+}
+
+// nodeStatePool lends computeFlux its per-node scratch. The kernel never
+// blocks, so at most one buffer per running goroutine is live however
+// many ranks the run has.
+var nodeStatePool = sync.Pool{New: func() any { return new(nodeState) }}
+
 // computeFlux runs the edge loop at one level: central flux differences
 // with scalar (Rusanov) dissipation accumulate into the residual arrays.
 // This is MG-CFD's compute_flux_edge kernel.
+//
+//perf:hotpath
 func (s *Sim) computeFlux(l *level) {
 	for v := 0; v < NVAR; v++ {
-		r := l.res[v]
-		for i := range r {
-			r[i] = 0
-		}
+		clear(l.res[v])
 	}
 	q := l.q
+	// q is read-only below, so each node's derived state is computed once
+	// rather than at both ends of every edge.
+	ns := nodeStatePool.Get().(*nodeState)
+	if cap(ns.p) < l.nodes {
+		ns.p = make([]float64, l.nodes)    //lint:allow hotalloc pooled scratch grows to the largest level once
+		ns.u = make([]float64, l.nodes)    //lint:allow hotalloc pooled scratch grows to the largest level once
+		ns.wave = make([]float64, l.nodes) //lint:allow hotalloc pooled scratch grows to the largest level once
+	}
+	pn, un, wn := ns.p[:l.nodes], ns.u[:l.nodes], ns.wave[:l.nodes]
+	for n := range pn {
+		p := pressureOf(q, n)
+		c := math.Sqrt(1.4 * p / math.Max(q[0][n], 1e-10))
+		u := q[1][n] / math.Max(q[0][n], 1e-10)
+		pn[n], un[n], wn[n] = p, u, math.Abs(u)+c
+	}
 	for _, e := range l.edges {
 		a, b := int(e.A), int(e.B)
+		pa, pb := pn[a], pn[b]
+		ua, ub := un[a], un[b]
 		// Scalar dissipation: local max wave speed estimate.
-		pa, pb := pressureOf(q, a), pressureOf(q, b)
-		ca := math.Sqrt(1.4 * pa / math.Max(q[0][a], 1e-10))
-		cb := math.Sqrt(1.4 * pb / math.Max(q[0][b], 1e-10))
-		ua := q[1][a] / math.Max(q[0][a], 1e-10)
-		ub := q[1][b] / math.Max(q[0][b], 1e-10)
-		lam := math.Max(math.Abs(ua)+ca, math.Abs(ub)+cb)
+		lam := math.Max(wn[a], wn[b])
 		for v := 0; v < NVAR; v++ {
 			// Central difference of the convective flux (projected on the
 			// edge direction) plus dissipation.
@@ -304,6 +340,7 @@ func (s *Sim) computeFlux(l *level) {
 			l.res[v][b] += flux
 		}
 	}
+	nodeStatePool.Put(ns)
 	s.comm.Compute(cluster.Work{
 		Flops: fluxFlopsPerEdge * float64(len(l.edges)) * l.workMult,
 		Bytes: fluxBytesPerEdge * float64(len(l.edges)) * l.workMult,
@@ -313,6 +350,8 @@ func (s *Sim) computeFlux(l *level) {
 // exchangeHalo trades face states with every block neighbour at a level.
 // Received states relax the local face nodes toward the neighbour's
 // values, coupling the subdomains.
+//
+//perf:hotpath
 func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 	if len(l.faces) == 0 {
 		return
@@ -321,7 +360,7 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 	// Send all faces first (eager), then receive: standard Isend/Irecv
 	// halo pattern.
 	for _, f := range l.faces {
-		buf := make([]float64, len(f.nodeIdx)*NVAR)
+		buf := l.haloBuf[:len(f.nodeIdx)*NVAR]
 		for v := 0; v < NVAR; v++ {
 			for i, n := range f.nodeIdx {
 				buf[v*len(f.nodeIdx)+i] = l.q[v][n]
@@ -438,7 +477,7 @@ func (s *Sim) Step() float64 {
 	})
 	for li := len(s.levels) - 1; li >= 1; li-- {
 		l := s.levels[li]
-		before := allocVars(l.nodes)
+		before := l.before
 		for v := 0; v < NVAR; v++ {
 			copy(before[v], l.q[v])
 		}

@@ -13,51 +13,50 @@ import (
 //
 // In parallel the domain is sliced into contiguous node ranges and solved
 // directly with a substructuring method (Wang's algorithm family): every
-// rank eliminates its interior unknowns with three local Thomas solves,
-// the interface unknowns (first node of each rank r > 0) form a reduced
+// rank eliminates its interior unknowns with a local Thomas solve plus
+// the segment's two harmonic responses (solved once at set-up), the
+// interface unknowns (first node of each rank r > 0) form a reduced
 // tridiagonal system of size P-1 solved by distributed parallel cyclic
 // reduction (log2 P rounds of small neighbour exchanges), and interiors
 // are recovered by back-substitution. The log-depth exchange chain plus
 // the per-step reductions are the field solver's inherent scaling limit.
 
-// thomas solves a tridiagonal system in place: sub/diag/super are the
-// three diagonals (sub[0] and super[n-1] unused), d the right-hand side.
-// Returns the solution in a fresh slice.
-func thomas(sub, diag, super, d []float64) []float64 {
-	n := len(diag)
-	if n == 0 {
-		return nil
-	}
-	cp := make([]float64, n)
-	dp := make([]float64, n)
-	cp[0] = super[0] / diag[0]
-	dp[0] = d[0] / diag[0]
-	for i := 1; i < n; i++ {
-		m := diag[i] - sub[i]*cp[i-1]
-		if i < n-1 {
-			cp[i] = super[i] / m
-		}
-		dp[i] = (d[i] - sub[i]*dp[i-1]) / m
-	}
-	x := make([]float64, n)
-	x[n-1] = dp[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = dp[i] - cp[i]*x[i+1]
-	}
-	return x
+// segment is the constant-coefficient (-1, 2, -1) system of one rank's
+// interior nodes, factored once: the forward sweep of the Thomas
+// algorithm depends only on the matrix, so the modified super-diagonal
+// cp and the pivots are computed at set-up and every solve runs just the
+// right-hand-side sweeps. Every segment has at least one node.
+type segment struct {
+	cp, piv []float64
 }
 
-// solveSegment solves the constant-coefficient (-1, 2, -1) system of size
-// n for the given right-hand side.
-func solveSegment(rhs []float64) []float64 {
-	n := len(rhs)
-	sub := make([]float64, n)
-	diag := make([]float64, n)
-	super := make([]float64, n)
-	for i := range diag {
-		sub[i], diag[i], super[i] = -1, 2, -1
+const segSub, segDiag, segSuper = -1.0, 2.0, -1.0
+
+func newSegment(n int) segment {
+	sg := segment{cp: make([]float64, n), piv: make([]float64, n)}
+	sg.cp[0] = segSuper / segDiag
+	sg.piv[0] = segDiag
+	for i := 1; i < n; i++ {
+		m := segDiag - segSub*sg.cp[i-1]
+		if i < n-1 {
+			sg.cp[i] = segSuper / m
+		}
+		sg.piv[i] = m
 	}
-	return thomas(sub, diag, super, rhs)
+	return sg
+}
+
+// solve writes the solution for the right-hand side d into x; both have
+// the segment's size.
+func (sg segment) solve(d, x []float64) {
+	n := len(sg.piv)
+	x[0] = d[0] / sg.piv[0]
+	for i := 1; i < n; i++ {
+		x[i] = (d[i] - segSub*x[i-1]) / sg.piv[i]
+	}
+	for i := n - 2; i >= 0; i-- {
+		x[i] -= sg.cp[i] * x[i+1]
+	}
 }
 
 // fieldSolver holds the per-rank decomposition of the Poisson problem.
@@ -72,6 +71,15 @@ type fieldSolver struct {
 	// cellScale converts simulated per-rank field work to true work.
 	cellScale float64
 	tag       int
+
+	// seg is the factored interior system; yL and yR are its responses to
+	// a unit value at the left and right ends, which depend only on the
+	// segment length and so are solved once.
+	seg    segment
+	yL, yR []float64
+	// Per-solve scratch: the particular solution y0 and the returned
+	// potential phi (held by the caller between sub-cycled solves).
+	y0, phi []float64
 }
 
 // newFieldSolver sets up the node ownership for the global problem of n
@@ -93,7 +101,16 @@ func newFieldSolver(c *mpi.Comm, n int, cellScale float64, tag int) (*fieldSolve
 	if r > 0 {
 		segLo = lo + 1 // node lo is this rank's interface unknown
 	}
-	return &fieldSolver{comm: c, n: n, lo: lo, hi: hi, segLo: segLo, cellScale: cellScale, tag: tag}, nil
+	m := hi - segLo
+	fs := &fieldSolver{comm: c, n: n, lo: lo, hi: hi, segLo: segLo, cellScale: cellScale, tag: tag,
+		seg: newSegment(m), yL: make([]float64, m), yR: make([]float64, m),
+		y0: make([]float64, m), phi: make([]float64, hi-lo)}
+	unit := make([]float64, m)
+	unit[0] = 1
+	fs.seg.solve(unit, fs.yL)
+	unit[0], unit[m-1] = 0, 1
+	fs.seg.solve(unit, fs.yR)
+	return fs, nil
 }
 
 func (fs *fieldSolver) ownedNodes() int { return fs.hi - fs.lo }
@@ -139,25 +156,22 @@ func (fs *fieldSolver) pcr(a, b, c, d float64) float64 {
 // Solve computes phi at the owned nodes from the owned right-hand side
 // f[i] = dx^2 * rho[i] (indexed from fs.lo). Returns phi over the owned
 // range plus the two ghost nodes (phi[lo-1] and phi[hi]) needed for the
-// E-field stencil, as (phiOwned, ghostLeft, ghostRight).
+// E-field stencil, as (phiOwned, ghostLeft, ghostRight). phiOwned is the
+// solver's own buffer, overwritten by the next Solve.
+//
+//perf:hotpath
 func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64) {
 	if len(f) != fs.ownedNodes() {
-		panic(fmt.Sprintf("simpic: Solve rhs length %d, want %d", len(f), fs.ownedNodes()))
+		panic(fmt.Sprintf("simpic: Solve rhs length %d, want %d", len(f), fs.ownedNodes())) //lint:allow hotalloc cold misuse panic
 	}
 	p, r := fs.comm.Size(), fs.comm.Rank()
 
-	// Local segment solves: particular plus two harmonic responses.
+	// Local segment solve: the particular solution, combined below with
+	// the two harmonic responses factored at set-up. The charge still
+	// covers all three solves, as a real solver repeats them per step.
 	m := fs.hi - fs.segLo
-	segF := f[fs.segLo-fs.lo:]
-	y0 := solveSegment(segF)
-	eL := make([]float64, m)
-	eR := make([]float64, m)
-	if m > 0 {
-		eL[0] = 1
-		eR[m-1] = 1
-	}
-	yL := solveSegment(eL)
-	yR := solveSegment(eR)
+	y0, yL, yR := fs.y0, fs.yL, fs.yR
+	fs.seg.solve(f[fs.segLo-fs.lo:], y0)
 	fs.comm.Compute(cluster.Work{Flops: 6 * float64(m) * fs.cellScale, Bytes: 30 * float64(m) * fs.cellScale})
 
 	// The interface unknowns v_i (i = 1..p-1, owned by rank i at node
@@ -172,7 +186,8 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 	if p > 1 {
 		// Segment responses travel one rank to the right.
 		if r < p-1 {
-			fs.comm.Send(r+1, fs.tag+1, []float64{y0[0], y0[m-1], yL[0], yL[m-1], yR[0], yR[m-1]})
+			resp := [6]float64{y0[0], y0[m-1], yL[0], yL[m-1], yR[0], yR[m-1]}
+			fs.comm.Send(r+1, fs.tag+1, resp[:])
 		}
 		if r > 0 {
 			left, _, _ := fs.comm.Recv(r-1, fs.tag+1)
@@ -191,14 +206,15 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 		}
 		// Each rank needs v_{r+1} too (the right ghost of its segment).
 		if r > 0 {
-			fs.comm.Send(r-1, fs.tag+3, []float64{uL})
+			v := [1]float64{uL}
+			fs.comm.Send(r-1, fs.tag+3, v[:])
 		}
 		if r < p-1 {
 			d, _, _ := fs.comm.Recv(r+1, fs.tag+3)
 			uR = d[0]
 		}
 	}
-	phi = make([]float64, fs.ownedNodes())
+	phi = fs.phi
 	if r > 0 {
 		phi[0] = uL // the owned interface node
 	}
@@ -214,7 +230,8 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 	ghostL, ghostR = 0.0, 0.0 // walls by default
 	if r < p-1 {
 		ghostR = uR
-		fs.comm.Send(r+1, fs.tag, []float64{phi[len(phi)-1]})
+		last := [1]float64{phi[len(phi)-1]}
+		fs.comm.Send(r+1, fs.tag, last[:])
 	}
 	if r > 0 {
 		d, _, _ := fs.comm.Recv(r-1, fs.tag)

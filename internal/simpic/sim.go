@@ -52,8 +52,13 @@ type Sim struct {
 	trueParts float64 // true particles this rank represents
 
 	field   *fieldSolver
-	rng     *rand.Rand
 	stepNum int
+
+	// Per-step scratch owned by the rank: the charge window rho and the
+	// Poisson RHS f (rho spans the boundary receive), the node field e,
+	// and the migrant send buffers (sends copy their payload).
+	rho, f, e    []float64
+	sendL, sendR []float64
 
 	// Cached field for sub-cycled solves (FieldEvery > 1).
 	cachePhi         []float64
@@ -119,15 +124,18 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 
 	// Load particles uniformly over the *owned true* slab with thermal
 	// velocities, deterministically per rank.
-	s.rng = rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
 	slabLo := float64(s.cellLo) * s.dx
 	slabW := float64(s.trueCells) * s.dx
 	s.px = make([]float64, simParts)
 	s.pv = make([]float64, simParts)
 	for i := range s.px {
-		s.px[i] = slabLo + s.rng.Float64()*slabW
-		s.pv[i] = cfg.VTherm * s.rng.NormFloat64()
+		s.px[i] = slabLo + rng.Float64()*slabW
+		s.pv[i] = cfg.VTherm * rng.NormFloat64()
 	}
+	s.rho = make([]float64, s.trueCells+1) // window node i -> global cellLo+i
+	s.f = make([]float64, fsolver.ownedNodes())
+	s.e = make([]float64, fsolver.ownedNodes())
 	// Loading cost: one pass over the true particle population.
 	c.Compute(cluster.Work{Flops: 8 * s.trueParts, Bytes: 32 * s.trueParts})
 	return s, nil
@@ -143,13 +151,16 @@ func (s *Sim) slabBounds() (lo, hi float64) {
 // [field.lo, field.hi) and resolves shared boundary nodes with the
 // neighbours. The returned slice is the Poisson RHS dx^2*rho at owned
 // nodes, weighted so the scaled-down particle set represents the true
-// charge.
+// charge; it is the rank's scratch, overwritten by the next deposit.
+//
+//perf:hotpath
 func (s *Sim) depositCharge() []float64 {
-	// Particles of this rank only touch nodes [cellLo, cellHi]; allocate
-	// exactly that window (never the global grid).
+	// Particles of this rank only touch nodes [cellLo, cellHi]: the
+	// window is exactly that range (never the global grid).
 	p, r := s.comm.Size(), s.comm.Rank()
 	cellHi := (r + 1) * s.cells / p
-	rho := make([]float64, s.trueCells+1) // window node i -> global cellLo+i
+	rho := s.rho
+	clear(rho)
 	invDx := 1.0 / s.dx
 	w := s.partScale / float64(s.cfg.ParticlesPerCell) // unit mean density
 	for i := range s.px {
@@ -170,14 +181,15 @@ func (s *Sim) depositCharge() []float64 {
 	// our partial sum right, and fold the left neighbour's into our first
 	// node.
 	if r < p-1 {
-		s.comm.Send(r+1, tagRhoR, []float64{rho[s.trueCells]})
+		edge := [1]float64{rho[s.trueCells]}
+		s.comm.Send(r+1, tagRhoR, edge[:])
 	}
 	if r > 0 {
 		d, _, _ := s.comm.Recv(r-1, tagRhoR)
 		rho[0] += d[0]
 	}
 	// Poisson RHS at the owned nodes [field.lo, field.hi).
-	f := make([]float64, s.field.ownedNodes())
+	f := s.f
 	dx2 := s.dx * s.dx
 	for i := range f {
 		f[i] = dx2 * rho[s.field.lo-s.cellLo+i]
@@ -187,12 +199,14 @@ func (s *Sim) depositCharge() []float64 {
 
 // pushParticles gathers E to the particles and advances them leapfrog,
 // then migrates the ones that left the slab. phi spans the owned nodes,
-// with ghost potentials for the stencil ends. Returns field energy.
+// with ghost potentials for the stencil ends.
+//
+//perf:hotpath
 func (s *Sim) pushParticles(phi []float64, ghostL, ghostR float64) {
 	loNode := s.field.lo
 	nOwned := len(phi)
 	// Electric field at owned nodes: E = -dphi/dx (central difference).
-	e := make([]float64, nOwned)
+	e := s.e
 	inv2dx := 1.0 / (2 * s.dx)
 	for i := 0; i < nOwned; i++ {
 		var pm, pp float64
@@ -249,58 +263,74 @@ func (s *Sim) chargeParticleWork(fraction float64) {
 }
 
 // migrate exchanges particles that crossed slab boundaries and reflects
-// at the domain walls.
+// at the domain walls. The particle arrays are compacted in place: kept
+// particles in their order, then the right neighbour's migrants, then
+// the left neighbour's.
+//
+//perf:hotpath
 func (s *Sim) migrate() {
 	p, r := s.comm.Size(), s.comm.Rank()
 	lo, hi := s.slabBounds()
-	var keepX, keepV, leftBuf, rightBuf []float64
-	for i := range s.px {
-		x := s.px[i]
+	px, pv := s.px, s.pv
+	left, right := s.sendL[:0], s.sendR[:0]
+	kept := 0
+	for i := range px {
+		x, v := px[i], pv[i]
 		// Reflect at the global walls.
 		if x < 0 {
 			x = -x
-			s.pv[i] = -s.pv[i]
+			v = -v
 		}
 		if x > s.cfg.Length {
 			x = 2*s.cfg.Length - x
-			s.pv[i] = -s.pv[i]
+			v = -v
 		}
 		switch {
 		case x < lo && r > 0:
-			leftBuf = append(leftBuf, x, s.pv[i])
+			left = append(left, x, v) //lint:allow hotalloc send buffer grows once and is reused every step
 		case x >= hi && r < p-1:
-			rightBuf = append(rightBuf, x, s.pv[i])
+			right = append(right, x, v) //lint:allow hotalloc send buffer grows once and is reused every step
 		default:
-			keepX = append(keepX, x)
-			keepV = append(keepV, s.pv[i])
+			px[kept], pv[kept] = x, v
+			kept++
 		}
 	}
+	px, pv = px[:kept], pv[:kept]
 	if p > 1 {
 		// Exchange with both neighbours (empty messages keep the pattern
 		// uniform). Virtual sizes reflect the true migrant population.
-		vbytes := func(buf []float64) int { return int(float64(len(buf)) * 8 * s.partScale) }
 		if r > 0 {
-			s.comm.SendVirtual(r-1, tagMigL, leftBuf, vbytes(leftBuf))
+			s.comm.SendVirtual(r-1, tagMigL, left, s.migrantBytes(left))
 		}
 		if r < p-1 {
-			s.comm.SendVirtual(r+1, tagMigR, rightBuf, vbytes(rightBuf))
+			s.comm.SendVirtual(r+1, tagMigR, right, s.migrantBytes(right))
 		}
 		if r < p-1 {
 			d, _, _ := s.comm.Recv(r+1, tagMigL)
-			keepX, keepV = appendPairs(keepX, keepV, d)
+			px, pv = appendPairs(px, pv, d)
 		}
 		if r > 0 {
 			d, _, _ := s.comm.Recv(r-1, tagMigR)
-			keepX, keepV = appendPairs(keepX, keepV, d)
+			px, pv = appendPairs(px, pv, d)
 		}
 	}
-	s.px, s.pv = keepX, keepV
+	s.px, s.pv = px, pv
+	s.sendL, s.sendR = left, right
 }
 
+// migrantBytes is the true size of a migrant buffer of (x, v) pairs.
+func (s *Sim) migrantBytes(buf []float64) int {
+	return int(float64(len(buf)) * 8 * s.partScale)
+}
+
+// appendPairs appends the (x, v) pairs to xs and vs. Growth is amortised:
+// the arrays keep their capacity across steps.
+//
+//perf:hotpath
 func appendPairs(xs, vs, pairs []float64) ([]float64, []float64) {
 	for i := 0; i+1 < len(pairs); i += 2 {
-		xs = append(xs, pairs[i])
-		vs = append(vs, pairs[i+1])
+		xs = append(xs, pairs[i])   //lint:allow hotalloc particle arrays grow only past their peak population
+		vs = append(vs, pairs[i+1]) //lint:allow hotalloc particle arrays grow only past their peak population
 	}
 	return xs, vs
 }

@@ -15,6 +15,33 @@ func cfg() mpi.Config {
 	return mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second}
 }
 
+// thomas is the general tridiagonal reference solver: sub/diag/super are
+// the three diagonals (sub[0] and super[n-1] unused), d the right-hand
+// side. Returns the solution in a fresh slice.
+func thomas(sub, diag, super, d []float64) []float64 {
+	n := len(diag)
+	if n == 0 {
+		return nil
+	}
+	cp := make([]float64, n)
+	dp := make([]float64, n)
+	cp[0] = super[0] / diag[0]
+	dp[0] = d[0] / diag[0]
+	for i := 1; i < n; i++ {
+		m := diag[i] - sub[i]*cp[i-1]
+		if i < n-1 {
+			cp[i] = super[i] / m
+		}
+		dp[i] = (d[i] - sub[i]*dp[i-1]) / m
+	}
+	x := make([]float64, n)
+	x[n-1] = dp[n-1]
+	for i := n - 2; i >= 0; i-- {
+		x[i] = dp[i] - cp[i]*x[i+1]
+	}
+	return x
+}
+
 func TestThomasSolvesTridiagonal(t *testing.T) {
 	n := 50
 	sub := make([]float64, n)
@@ -57,6 +84,26 @@ func serialPoisson(f []float64) []float64 {
 		sub[i], diag[i], super[i] = -1, 2, -1
 	}
 	return thomas(sub, diag, super, f)
+}
+
+// TestSegmentMatchesThomasBitwise checks the factored (-1, 2, -1) solve
+// against the general Thomas solver bit for bit, for every size up to 40.
+func TestSegmentMatchesThomasBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 40; n++ {
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		want := serialPoisson(d)
+		got := make([]float64, n)
+		newSegment(n).solve(d, got)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: x[%d] = %v, want %v", n, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 func TestParallelFieldSolveMatchesSerial(t *testing.T) {
